@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"catalyzer"
@@ -14,8 +15,9 @@ import (
 // TestValidateFlags pins the daemon's flag validation: the
 // single-machine -store-dir is rejected in fleet mode (per-machine
 // stores live under -fleet-store-dir), -fleet-store-dir must be an
-// absolute path and requires fleet mode, and a negative zygote pool is
-// rejected before any machine is built.
+// absolute path and requires fleet mode, a negative zygote pool is
+// rejected before any machine is built, and the admission flags, which
+// fleet machines do not enforce, are rejected in fleet mode by name.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -24,26 +26,32 @@ func TestValidateFlags(t *testing.T) {
 		fleetZones    int
 		storeDir      string
 		fleetStoreDir string
-		wantErr       bool
+		adm           catalyzer.AdmissionConfig
+		wantErr       string // "" = valid; otherwise a substring of the error
 	}{
-		{"defaults", 4, 0, 0, "", "", false},
-		{"store only", 4, 0, 0, "/tmp/store", "", false},
-		{"fleet only", 4, 5, 0, "", "", false},
-		{"fleet with single-machine store", 4, 5, 0, "/tmp/store", "", true},
-		{"fleet with fleet store", 4, 5, 0, "", "/tmp/fleet", false},
-		{"fleet store without fleet", 4, 0, 0, "", "/tmp/fleet", true},
-		{"relative fleet store", 4, 5, 0, "", "fleet-store", true},
-		{"negative zygote pool", -1, 0, 0, "", "", true},
-		{"fleet with zones", 4, 6, 3, "", "", false},
-		{"zones without fleet", 4, 0, 3, "", "", true},
-		{"negative zones", 4, 6, -1, "", "", true},
-		{"more zones than machines", 4, 2, 3, "", "", true},
+		{"defaults", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, ""},
+		{"store only", 4, 0, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, ""},
+		{"fleet only", 4, 5, 0, "", "", catalyzer.AdmissionConfig{}, ""},
+		{"fleet with single-machine store", 4, 5, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, "-store-dir"},
+		{"fleet with fleet store", 4, 5, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, ""},
+		{"fleet store without fleet", 4, 0, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, "-fleet-store-dir"},
+		{"relative fleet store", 4, 5, 0, "", "fleet-store", catalyzer.AdmissionConfig{}, "-fleet-store-dir"},
+		{"negative zygote pool", -1, 0, 0, "", "", catalyzer.AdmissionConfig{}, "-zygote-pool"},
+		{"fleet with zones", 4, 6, 3, "", "", catalyzer.AdmissionConfig{}, ""},
+		{"zones without fleet", 4, 0, 3, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
+		{"negative zones", 4, 6, -1, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
+		{"more zones than machines", 4, 2, 3, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
+		{"admission on one machine", 4, 0, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8, MaxPerFunction: 2, QueueDepth: 16}, ""},
+		{"fleet with max-concurrent", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8}, "-max-concurrent"},
+		{"fleet with max-per-function", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxPerFunction: 2}, "-max-per-function"},
+		{"fleet with queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: 16}, "-queue-depth"},
+		{"fleet with negative queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: -1}, "-queue-depth"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir)
-		if (err != nil) != c.wantErr {
-			t.Errorf("%s: validateFlags(%d, %d, %d, %q, %q) = %v, wantErr=%v",
-				c.name, c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, err, c.wantErr)
+		err := validateFlags(c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm)
+		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("%s: validateFlags(%d, %d, %d, %q, %q, %+v) = %v, want error naming %q",
+				c.name, c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm, err, c.wantErr)
 		}
 	}
 }

@@ -514,10 +514,26 @@ func Handler(c *catalyzer.Client) http.Handler {
 // particular, -store-dir is the single-machine store: in fleet mode
 // each machine owns its own store under -fleet-store-dir, and silently
 // accepting a -store-dir would let an operator believe one shared store
-// backs the fleet when it backs nothing.
-func validateFlags(zygotePool, fleetMachines, fleetZones int, storeDir, fleetStoreDir string) error {
+// backs the fleet when it backs nothing. The admission flags are
+// rejected in fleet mode for the same reason: fleet machines do not run
+// the single-machine admission controller, so the caps would be ignored.
+func validateFlags(zygotePool, fleetMachines, fleetZones int, storeDir, fleetStoreDir string, adm catalyzer.AdmissionConfig) error {
 	if zygotePool < 0 {
 		return fmt.Errorf("-zygote-pool must be >= 0, got %d", zygotePool)
+	}
+	if fleetMachines > 0 {
+		for _, f := range []struct {
+			name string
+			v    int
+		}{
+			{"-max-concurrent", adm.MaxConcurrent},
+			{"-max-per-function", adm.MaxPerFunction},
+			{"-queue-depth", adm.QueueDepth},
+		} {
+			if f.v != 0 {
+				return fmt.Errorf("%s is not supported in fleet mode: fleet machines do not enforce admission limits", f.name)
+			}
+		}
 	}
 	if fleetMachines > 0 && storeDir != "" {
 		return fmt.Errorf("-store-dir is the single-machine store; fleet machines keep per-machine stores under -fleet-store-dir")
@@ -561,16 +577,17 @@ func main() {
 	fleetBudgetBurst := flag.Int("fleet-budget-burst", 0, "retry/hedge token bucket size (0 = default 32)")
 	fleetMaxEjectFraction := flag.Float64("fleet-max-eject-fraction", 0, "largest share of up machines that may be soft-ejected at once; beyond it the fleet serves browned-out (0 = default 1/3)")
 	flag.Parse()
-	if err := validateFlags(*zygotePool, *fleetMachines, *fleetZones, *storeDir, *fleetStoreDir); err != nil {
+	adm := catalyzer.AdmissionConfig{
+		MaxConcurrent:  *maxConcurrent,
+		MaxPerFunction: *maxPerFunction,
+		QueueDepth:     *queueDepth,
+	}
+	if err := validateFlags(*zygotePool, *fleetMachines, *fleetZones, *storeDir, *fleetStoreDir, adm); err != nil {
 		log.Fatal(err)
 	}
 
 	opts := []catalyzer.Option{
-		catalyzer.WithAdmission(catalyzer.AdmissionConfig{
-			MaxConcurrent:  *maxConcurrent,
-			MaxPerFunction: *maxPerFunction,
-			QueueDepth:     *queueDepth,
-		}),
+		catalyzer.WithAdmission(adm),
 		catalyzer.WithZygotePool(*zygotePool),
 	}
 	if *server {

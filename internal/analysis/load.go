@@ -183,7 +183,8 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 
 // ModulePackages returns the import paths of every package in the
 // module that has at least one non-test Go file, skipping testdata,
-// vendor and hidden directories.
+// vendor and hidden directories, and nested modules (a directory with
+// its own go.mod), as the go command's ./... does.
 func (l *Loader) ModulePackages() ([]string, error) {
 	if l.ModuleRoot == "" {
 		return nil, fmt.Errorf("analysis: loader has no module root")
@@ -198,6 +199,9 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		}
 		name := d.Name()
 		if p != l.ModuleRoot && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); p != l.ModuleRoot && err == nil {
 			return filepath.SkipDir
 		}
 		entries, err := os.ReadDir(p)

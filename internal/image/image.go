@@ -393,8 +393,8 @@ func (m *Mapping) Pages() uint64 { return m.mem.Pages }
 
 // Close drops the mapping's frame references; pages still mapped by
 // sandboxes stay alive through their own references. Frames are
-// released in page order so frame-table free-list state replays
-// identically under one seed.
+// released in page order so the frame table's last-in first-out free
+// list hands the same IDs out again on every run with one seed.
 func (m *Mapping) Close() {
 	if m.closed {
 		return

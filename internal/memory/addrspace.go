@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"catalyzer/internal/simenv"
@@ -44,11 +45,21 @@ type Stats struct {
 // or an sfork parent) and a Private-EPT established by copy-on-write.
 // Hardware EPT construction "merges entries from the Private-EPT with the
 // Base-EPT" (§3.1); Translate implements exactly that merge.
+//
+// The Base-EPT has two parts: the entries this space holds its own
+// reference on (base: demand-faulted backing pages and InstallBase), and
+// the segments inherited through sfork (layers, newest first). At most
+// one of them maps a given page; a segment page the space has shadowed
+// does not count. Every table is indexed by table page, which is the
+// guest page minus delta, so Rebase moves the whole space in O(VMAs)
+// while it shares segments with spaces at other offsets.
 type AddressSpace struct {
 	env     *simenv.Env
 	ft      *FrameTable
-	base    map[uint64]FrameID // read-only, shared
-	private map[uint64]FrameID // read-write, exclusive
+	delta   uint64    // guest page = table page + delta
+	private pageTable // read-write, exclusive
+	base    pageTable // read-only, this space's own references
+	layers  []layer   // read-only, shared
 	vmas    []VMA
 	stats   Stats
 	dead    bool
@@ -57,12 +68,7 @@ type AddressSpace struct {
 // NewAddressSpace returns an empty address space over the machine's frame
 // table.
 func NewAddressSpace(env *simenv.Env, ft *FrameTable) *AddressSpace {
-	return &AddressSpace{
-		env:     env,
-		ft:      ft,
-		base:    make(map[uint64]FrameID),
-		private: make(map[uint64]FrameID),
-	}
+	return &AddressSpace{env: env, ft: ft}
 }
 
 // Map installs a VMA. Nothing is populated: pages appear in the EPTs only
@@ -97,14 +103,47 @@ func (as *AddressSpace) vmaFor(page uint64) (VMA, bool) {
 	return VMA{}, false
 }
 
+// baseEntry returns the Base-EPT entry for table page p and where it
+// lives: layer index li, or -1 for the space's own base table.
+func (as *AddressSpace) baseEntry(p uint64) (f FrameID, li int, ok bool) {
+	if f, ok := as.base.get(p); ok {
+		return f, -1, true
+	}
+	for i, l := range as.layers {
+		if f, ok := l.seg.pages.get(p); ok {
+			if _, gone := l.shadow[p]; !gone {
+				return f, i, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// dropBase removes the Base-EPT entry baseEntry found, dropping this
+// space's reference to the frame.
+func (as *AddressSpace) dropBase(p uint64, f FrameID, li int) {
+	if li < 0 {
+		as.base.del(p)
+		as.ft.Unref(f)
+		return
+	}
+	l := &as.layers[li]
+	if l.shadow == nil {
+		l.shadow = make(map[uint64]struct{})
+	}
+	l.shadow[p] = struct{}{}
+	l.seg.hide(as.ft, p, f)
+}
+
 // Translate performs the hardware EPT merge: the Private-EPT entry wins
 // if valid, otherwise the Base-EPT entry is used. The boolean reports
 // whether the page is currently mapped at all.
 func (as *AddressSpace) Translate(page uint64) (FrameID, bool) {
-	if f, ok := as.private[page]; ok {
+	p := page - as.delta
+	if f, ok := as.private.get(p); ok {
 		return f, true
 	}
-	f, ok := as.base[page]
+	f, _, ok := as.baseEntry(p)
 	return f, ok
 }
 
@@ -125,20 +164,20 @@ func (as *AddressSpace) Read(page uint64) (uint64, error) {
 // Write accesses a page for writing, performing copy-on-write if the
 // effective mapping is a shared Base-EPT entry.
 func (as *AddressSpace) Write(page uint64, content uint64) error {
-	if f, ok := as.private[page]; ok {
+	p := page - as.delta
+	if f, ok := as.private.get(p); ok {
 		as.ft.SetContent(f, content)
 		return nil
 	}
-	if shared, ok := as.base[page]; ok {
+	if shared, li, ok := as.baseEntry(p); ok {
 		// EPT write violation on the Base-EPT: copy the page into the
 		// Private-EPT (§3.1) and drop this space's shared reference.
 		as.env.Charge(as.env.Cost.CoWFault)
 		as.stats.CoWFaults++
 		priv := as.ft.Allocate(as.ft.Content(shared))
 		as.ft.SetContent(priv, content)
-		as.private[page] = priv
-		delete(as.base, page)
-		as.ft.Unref(shared)
+		as.private.set(p, priv)
+		as.dropBase(p, shared, li)
 		return nil
 	}
 	// Unmapped anonymous page: first-touch allocation.
@@ -149,7 +188,7 @@ func (as *AddressSpace) Write(page uint64, content uint64) error {
 	as.stats.DemandFaults++
 	f := as.ft.Allocate(0)
 	as.ft.SetContent(f, content)
-	as.private[page] = f
+	as.private.set(p, f)
 	return nil
 }
 
@@ -163,13 +202,13 @@ func (as *AddressSpace) demandFault(page uint64) (FrameID, error) {
 	if v.Backing != nil {
 		if f, ok := v.Backing.Frame(page - v.Start); ok {
 			as.ft.Ref(f)
-			as.base[page] = f
+			as.base.set(page-as.delta, f)
 			return f, nil
 		}
 	}
 	// Anonymous (or image hole): zero frame, private to this space.
 	f := as.ft.Allocate(0)
-	as.private[page] = f
+	as.private.set(page-as.delta, f)
 	return f, nil
 }
 
@@ -188,10 +227,9 @@ func (as *AddressSpace) Populate(v VMA, perPage func()) error {
 		}
 		perPage()
 		priv := as.ft.Allocate(as.ft.Content(f))
-		if old, exists := as.private[p]; exists {
+		if old := as.private.set(p-as.delta, priv); old != 0 {
 			as.ft.Unref(old)
 		}
-		as.private[p] = priv
 	}
 	return nil
 }
@@ -202,27 +240,26 @@ func (as *AddressSpace) Populate(v VMA, perPage func()) error {
 // a task image from the rootfs, or an application dirtying its heap
 // during initialization.
 func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint64) uint64, perPage func()) error {
-	for p := start; p < end; p++ {
-		if _, ok := as.vmaFor(p); !ok {
-			return fmt.Errorf("memory: PopulateRange outside any VMA at page %d", p)
+	for page := start; page < end; page++ {
+		if _, ok := as.vmaFor(page); !ok {
+			return fmt.Errorf("memory: PopulateRange outside any VMA at page %d", page)
 		}
 		if perPage != nil {
 			perPage()
 		}
 		var c uint64
 		if content != nil {
-			c = content(p)
+			c = content(page)
 		}
-		if f, ok := as.private[p]; ok {
+		p := page - as.delta
+		if f, ok := as.private.get(p); ok {
 			as.ft.SetContent(f, c)
 			continue
 		}
-		if shared, ok := as.base[p]; ok {
-			delete(as.base, p)
-			as.ft.Unref(shared)
+		if shared, li, ok := as.baseEntry(p); ok {
+			as.dropBase(p, shared, li)
 		}
-		f := as.ft.Allocate(c)
-		as.private[p] = f
+		as.private.set(p, as.ft.Allocate(c))
 	}
 	return nil
 }
@@ -231,11 +268,12 @@ func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint6
 // warm boot inherits an already-constructed base mapping. The frame gains
 // a reference.
 func (as *AddressSpace) InstallBase(page uint64, f FrameID) {
-	if old, ok := as.base[page]; ok {
-		as.ft.Unref(old)
+	p := page - as.delta
+	if old, li, ok := as.baseEntry(p); ok {
+		as.dropBase(p, old, li)
 	}
 	as.ft.Ref(f)
-	as.base[page] = f
+	as.base.set(p, f)
 }
 
 // CloneCoW produces a child address space for sfork: the child sees every
@@ -244,21 +282,45 @@ func (as *AddressSpace) InstallBase(page uint64, f FrameID) {
 // parent CoWs too, exactly like fork's write-protection of both sides.
 // Shared (MAP_SHARED) VMAs are only clonable because Catalyzer adds a CoW
 // flag for shared memory mappings (§4); the caller enforces policy.
+//
+// The demotion folds the parent's private and own base entries into a
+// new segment, once; after that a clone costs a reference per segment
+// and a copy of the parent's shadow sets, independent of memory size.
 func (as *AddressSpace) CloneCoW() *AddressSpace {
 	child := NewAddressSpace(as.env, as.ft)
 	child.vmas = make([]VMA, len(as.vmas))
 	copy(child.vmas, as.vmas)
+	child.delta = as.delta
 
-	// Demote parent's private pages to shared.
-	for page, f := range as.private {
-		as.base[page] = f
-		delete(as.private, page)
+	if as.private.len()+as.base.len() > 0 {
+		as.fold()
 	}
-	for page, f := range as.base {
-		as.ft.Ref(f)
-		child.base[page] = f
+	child.layers = make([]layer, len(as.layers))
+	for i, l := range as.layers {
+		l.seg.share(l.shadow)
+		child.layers[i] = layer{seg: l.seg, shadow: maps.Clone(l.shadow)}
 	}
 	return child
+}
+
+// fold moves the space's private and own base entries into a new
+// segment on top of its layers.
+func (as *AddressSpace) fold() {
+	// A private page can hide a Base-EPT entry (Populate over faulted
+	// pages, InstallBase under a private page). The segment maps the
+	// private frame there, so the hidden entry's reference goes now.
+	if as.base.len() > 0 || len(as.layers) > 0 {
+		as.private.each(func(p uint64, _ FrameID) {
+			if f, li, ok := as.baseEntry(p); ok {
+				as.dropBase(p, f, li)
+			}
+		})
+	}
+	s := &segment{pages: as.private, sharers: 1}
+	as.base.each(func(p uint64, f FrameID) { s.pages.set(p, f) })
+	s.pages.each(func(p uint64, f FrameID) { as.ft.join(f, s, p) })
+	as.private, as.base = pageTable{}, pageTable{}
+	as.layers = append([]layer{{seg: s}}, as.layers...)
 }
 
 // Rebase shifts every VMA and mapping by delta pages — the address-space
@@ -270,16 +332,7 @@ func (as *AddressSpace) Rebase(delta uint64) {
 	if delta == 0 {
 		return
 	}
-	base := make(map[uint64]FrameID, len(as.base))
-	for p, f := range as.base {
-		base[p+delta] = f
-	}
-	as.base = base
-	private := make(map[uint64]FrameID, len(as.private))
-	for p, f := range as.private {
-		private[p+delta] = f
-	}
-	as.private = private
+	as.delta += delta
 	for i := range as.vmas {
 		as.vmas[i].Start += delta
 		as.vmas[i].End += delta
@@ -293,14 +346,12 @@ func (as *AddressSpace) Release() {
 		return
 	}
 	as.dead = true
-	for page, f := range as.base {
-		as.ft.Unref(f)
-		delete(as.base, page)
+	as.base.each(func(_ uint64, f FrameID) { as.ft.Unref(f) })
+	as.private.each(func(_ uint64, f FrameID) { as.ft.Unref(f) })
+	for _, l := range as.layers {
+		l.seg.unshare(as.ft, l.shadow)
 	}
-	for page, f := range as.private {
-		as.ft.Unref(f)
-		delete(as.private, page)
-	}
+	as.private, as.base, as.layers = pageTable{}, pageTable{}, nil
 	as.vmas = nil
 }
 
@@ -309,11 +360,16 @@ func (as *AddressSpace) Stats() Stats { return as.stats }
 
 // MappedPages returns the number of pages currently present in either EPT.
 func (as *AddressSpace) MappedPages() int {
-	n := len(as.private)
-	for p := range as.base {
-		if _, ok := as.private[p]; !ok {
-			n++
-		}
+	n := as.private.len() + as.base.len()
+	for _, l := range as.layers {
+		n += l.seg.pages.len() - len(l.shadow)
+	}
+	if as.base.len() > 0 || len(as.layers) > 0 {
+		as.private.each(func(p uint64, _ FrameID) {
+			if _, _, hidden := as.baseEntry(p); hidden {
+				n--
+			}
+		})
 	}
 	return n
 }
@@ -329,15 +385,27 @@ func (as *AddressSpace) RSS() uint64 {
 // frame, matching the Figure 14 methodology.
 func (as *AddressSpace) PSS() float64 {
 	var pss float64
-	for page, f := range as.private {
-		_ = page
-		pss += float64(PageSize) / float64(as.ft.Refs(f))
-	}
-	for page, f := range as.base {
-		if _, ok := as.private[page]; ok {
-			continue
-		}
-		pss += float64(PageSize) / float64(as.ft.Refs(f))
-	}
+	as.pageRefs(func(refs int) { pss += float64(PageSize) / float64(refs) })
 	return pss
+}
+
+// pageRefs calls fn with the frame reference count of every mapped page,
+// in a fixed order so PSS sums the same way on every run.
+func (as *AddressSpace) pageRefs(fn func(refs int)) {
+	as.private.each(func(_ uint64, f FrameID) { fn(as.ft.Refs(f)) })
+	as.base.each(func(p uint64, f FrameID) {
+		if _, hidden := as.private.get(p); !hidden {
+			fn(as.ft.Refs(f))
+		}
+	})
+	for _, l := range as.layers {
+		l.seg.pages.each(func(p uint64, f FrameID) {
+			if _, gone := l.shadow[p]; gone {
+				return
+			}
+			if _, hidden := as.private.get(p); !hidden {
+				fn(as.ft.Refs(f))
+			}
+		})
+	}
 }
