@@ -19,8 +19,8 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariant suite (wallclock, ctxflow, typederr,
-# lockdiscipline, metricsreg, maporder, trackedgo, faultsite,
-# statsmirror); see DESIGN.md "Enforced invariants".
+# lockdiscipline, maporder, trackedgo, faultsite); see DESIGN.md
+# "Enforced invariants".
 lint:
 	$(GO) run ./cmd/catalyzer-vet ./...
 

@@ -549,43 +549,14 @@ func (c *Client) Running() int { return c.p.LiveInstances() }
 // Now returns the machine's virtual clock reading.
 func (c *Client) Now() Duration { return c.p.Now() }
 
-// OverloadStats is a snapshot of the client's admission accounting.
-type OverloadStats struct {
-	// Admitted counts requests granted a slot (immediately or after
-	// queueing); Shed counts requests rejected over capacity or during
-	// drain; Expired counts requests whose deadline passed before
-	// admission; Canceled counts requests canceled while queued.
-	Admitted int
-	Shed     int
-	Expired  int
-	Canceled int
-	// InFlight is the current number of admitted, unreleased requests;
-	// QueueDepth the current queue length; QueuePeak its high-water mark.
-	InFlight   int
-	QueueDepth int
-	QueuePeak  int
-	// PerFunction is the current in-flight gauge per function.
-	PerFunction map[string]int
-	// Draining reports whether the client has stopped admitting.
-	Draining bool
-}
+// OverloadStats is a snapshot of the client's admission accounting:
+// admitted, shed, expired and canceled requests, and the in-flight and
+// queue gauges.
+type OverloadStats = admission.Stats
 
 // OverloadStats returns a snapshot of the client's admission/overload
 // accounting.
-func (c *Client) OverloadStats() OverloadStats {
-	st := c.adm.Snapshot()
-	return OverloadStats{
-		Admitted:    st.Admitted,
-		Shed:        st.Shed,
-		Expired:     st.Expired,
-		Canceled:    st.Canceled,
-		InFlight:    st.InFlight,
-		QueueDepth:  st.QueueDepth,
-		QueuePeak:   st.QueuePeak,
-		PerFunction: st.PerFunction,
-		Draining:    st.Draining,
-	}
-}
+func (c *Client) OverloadStats() OverloadStats { return c.adm.Snapshot() }
 
 // BeginDrain stops admitting new work: subsequent invocations fail with
 // ErrDraining while queued and in-flight work proceeds.

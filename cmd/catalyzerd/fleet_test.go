@@ -21,6 +21,16 @@ func newFleetTestServer(t *testing.T) (*httptest.Server, *catalyzer.Fleet) {
 	return srv, f
 }
 
+// fleetSection decodes /metrics' fleet section onto FleetStats; the
+// invoke percentiles arrive as float milliseconds and shadow the
+// Duration fields of the same keys.
+type fleetSection struct {
+	catalyzer.FleetStats
+	InvokeP50MS float64 `json:"invoke_p50_ms"`
+	InvokeP99MS float64 `json:"invoke_p99_ms"`
+	InvokeMaxMS float64 `json:"invoke_max_ms"`
+}
+
 func TestFleetDeployInvokeAndMachines(t *testing.T) {
 	srv, _ := newFleetTestServer(t)
 
@@ -152,7 +162,7 @@ func TestFleetMetricsCarriesFleetSection(t *testing.T) {
 		Boots map[string]struct {
 			Count int `json:"count"`
 		} `json:"boots"`
-		Fleet fleetMetrics `json:"fleet"`
+		Fleet fleetSection `json:"fleet"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"catalyzer"
 )
@@ -16,8 +17,9 @@ import (
 // single-machine -store-dir is rejected in fleet mode (per-machine
 // stores live under -fleet-store-dir), -fleet-store-dir must be an
 // absolute path and requires fleet mode, a negative zygote pool is
-// rejected before any machine is built, and the admission flags, which
-// fleet machines do not enforce, are rejected in fleet mode by name.
+// rejected before any machine is built, the admission flags, which
+// fleet machines do not enforce, are rejected in fleet mode by name, and
+// a negative memory budget or grace period is rejected by name.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -27,31 +29,37 @@ func TestValidateFlags(t *testing.T) {
 		storeDir      string
 		fleetStoreDir string
 		adm           catalyzer.AdmissionConfig
+		memoryBudget  int
+		grace         time.Duration
 		wantErr       string // "" = valid; otherwise a substring of the error
 	}{
-		{"defaults", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, ""},
-		{"store only", 4, 0, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, ""},
-		{"fleet only", 4, 5, 0, "", "", catalyzer.AdmissionConfig{}, ""},
-		{"fleet with single-machine store", 4, 5, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, "-store-dir"},
-		{"fleet with fleet store", 4, 5, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, ""},
-		{"fleet store without fleet", 4, 0, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, "-fleet-store-dir"},
-		{"relative fleet store", 4, 5, 0, "", "fleet-store", catalyzer.AdmissionConfig{}, "-fleet-store-dir"},
-		{"negative zygote pool", -1, 0, 0, "", "", catalyzer.AdmissionConfig{}, "-zygote-pool"},
-		{"fleet with zones", 4, 6, 3, "", "", catalyzer.AdmissionConfig{}, ""},
-		{"zones without fleet", 4, 0, 3, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
-		{"negative zones", 4, 6, -1, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
-		{"more zones than machines", 4, 2, 3, "", "", catalyzer.AdmissionConfig{}, "-fleet-zones"},
-		{"admission on one machine", 4, 0, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8, MaxPerFunction: 2, QueueDepth: 16}, ""},
-		{"fleet with max-concurrent", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8}, "-max-concurrent"},
-		{"fleet with max-per-function", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxPerFunction: 2}, "-max-per-function"},
-		{"fleet with queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: 16}, "-queue-depth"},
-		{"fleet with negative queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: -1}, "-queue-depth"},
+		{"defaults", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, ""},
+		{"store only", 4, 0, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, 0, time.Second, ""},
+		{"fleet only", 4, 5, 0, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, ""},
+		{"fleet with single-machine store", 4, 5, 0, "/tmp/store", "", catalyzer.AdmissionConfig{}, 0, time.Second, "-store-dir"},
+		{"fleet with fleet store", 4, 5, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, 0, time.Second, ""},
+		{"fleet store without fleet", 4, 0, 0, "", "/tmp/fleet", catalyzer.AdmissionConfig{}, 0, time.Second, "-fleet-store-dir"},
+		{"relative fleet store", 4, 5, 0, "", "fleet-store", catalyzer.AdmissionConfig{}, 0, time.Second, "-fleet-store-dir"},
+		{"negative zygote pool", -1, 0, 0, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, "-zygote-pool"},
+		{"fleet with zones", 4, 6, 3, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, ""},
+		{"zones without fleet", 4, 0, 3, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, "-fleet-zones"},
+		{"negative zones", 4, 6, -1, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, "-fleet-zones"},
+		{"more zones than machines", 4, 2, 3, "", "", catalyzer.AdmissionConfig{}, 0, time.Second, "-fleet-zones"},
+		{"admission on one machine", 4, 0, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8, MaxPerFunction: 2, QueueDepth: 16}, 0, time.Second, ""},
+		{"fleet with max-concurrent", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxConcurrent: 8}, 0, time.Second, "-max-concurrent"},
+		{"fleet with max-per-function", 4, 5, 0, "", "", catalyzer.AdmissionConfig{MaxPerFunction: 2}, 0, time.Second, "-max-per-function"},
+		{"fleet with queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: 16}, 0, time.Second, "-queue-depth"},
+		{"fleet with negative queue-depth", 4, 5, 0, "", "", catalyzer.AdmissionConfig{QueueDepth: -1}, 0, time.Second, "-queue-depth"},
+		{"memory budget", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, 4096, time.Second, ""},
+		{"negative memory budget", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, -1, time.Second, "-memory-budget"},
+		{"zero grace", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, 0, 0, ""},
+		{"negative grace", 4, 0, 0, "", "", catalyzer.AdmissionConfig{}, 0, -time.Second, "-grace"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm)
+		err := validateFlags(c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm, c.memoryBudget, c.grace)
 		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
-			t.Errorf("%s: validateFlags(%d, %d, %d, %q, %q, %+v) = %v, want error naming %q",
-				c.name, c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm, err, c.wantErr)
+			t.Errorf("%s: validateFlags(%d, %d, %d, %q, %q, %+v, %d, %v) = %v, want error naming %q",
+				c.name, c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, c.adm, c.memoryBudget, c.grace, err, c.wantErr)
 		}
 	}
 }
@@ -129,7 +137,7 @@ func TestFleetInvokeBudgetExhaustedOverHTTP(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	var body struct {
-		Fleet fleetMetrics `json:"fleet"`
+		Fleet fleetSection `json:"fleet"`
 	}
 	if err := json.NewDecoder(mresp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

@@ -91,8 +91,10 @@ import (
 	"net/http"
 	"os/signal"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -189,6 +191,24 @@ type invokeResponse struct {
 	PhasesMS map[string]float64 `json:"phases_ms"`
 }
 
+// invokeResponseOf is the JSON reply to one served invocation, its
+// latencies in milliseconds and repeated phases summed by name.
+func invokeResponseOf(inv *catalyzer.Invocation) invokeResponse {
+	resp := invokeResponse{
+		Function: inv.Function,
+		Boot:     string(inv.Kind),
+		ServedBy: string(inv.ServedBy),
+		BootMS:   float64(inv.BootLatency) / 1e6,
+		ExecMS:   float64(inv.ExecLatency) / 1e6,
+		TotalMS:  float64(inv.Total()) / 1e6,
+		PhasesMS: map[string]float64{},
+	}
+	for _, ph := range inv.Phases {
+		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
+	}
+	return resp
+}
+
 func (s *server) deploy(w http.ResponseWriter, r *http.Request) {
 	fn := r.URL.Query().Get("fn")
 	if fn == "" {
@@ -223,22 +243,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	resp := invokeResponse{
-		Function: inv.Function,
-		Boot:     string(inv.Kind),
-		ServedBy: string(inv.ServedBy),
-		BootMS:   float64(inv.BootLatency) / 1e6,
-		ExecMS:   float64(inv.ExecLatency) / 1e6,
-		TotalMS:  float64(inv.Total()) / 1e6,
-		PhasesMS: map[string]float64{},
-	}
-	for _, ph := range inv.Phases {
-		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		log.Printf("encode: %v", err)
-	}
+	writeJSON(w, http.StatusOK, invokeResponseOf(inv))
 }
 
 // deployCustom registers a user-defined function from the JSON workload
@@ -266,7 +271,8 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 	}
 	fraction := 0.5
 	if v := r.URL.Query().Get("fraction"); v != "" {
-		if _, err := fmt.Sscanf(v, "%f", &fraction); err != nil {
+		var err error
+		if fraction, err = strconv.ParseFloat(v, 64); err != nil {
 			http.Error(w, "bad fraction", http.StatusBadRequest)
 			return
 		}
@@ -279,155 +285,64 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "trained variant %s\n", name)
 }
 
-func (s *server) functions(w http.ResponseWriter, _ *http.Request) {
+// functions lists the deployable workloads (both daemon modes).
+func functions(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, catalyzer.Functions())
+}
+
+// writeJSON writes body as a JSON reply with the given status.
+func writeJSON(w http.ResponseWriter, code int, body any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(catalyzer.Functions())
-}
-
-// failureMetrics is the JSON form of the failure-recovery counters.
-type failureMetrics struct {
-	BootFailures            map[string]int            `json:"boot_failures"`
-	Fallbacks               map[string]int            `json:"fallbacks"`
-	Retries                 int                       `json:"retries"`
-	BackoffTotalMS          float64                   `json:"backoff_total_ms"`
-	BreakerTrips            int                       `json:"breaker_trips"`
-	BreakerSkips            int                       `json:"breaker_skips"`
-	Breakers                map[string]string         `json:"breakers"`
-	TemplatesQuarantined    int                       `json:"templates_quarantined"`
-	TemplateRebuildFailures int                       `json:"template_rebuild_failures"`
-	WatchdogKills           int                       `json:"watchdog_kills"`
-	TemplatesPoisoned       int                       `json:"templates_poisoned"`
-	TemplateRegens          int                       `json:"template_regens"`
-	TemplateRegenFailures   int                       `json:"template_regen_failures"`
-	ImagesQuarantined       int                       `json:"images_quarantined"`
-	ImageLoadFaults         int                       `json:"image_load_faults"`
-	Rollbacks               int                       `json:"rollbacks"`
-	ImageRebuilds           int                       `json:"image_rebuilds"`
-	ImageRebuildFailures    int                       `json:"image_rebuild_failures"`
-	ImageSaveFailures       int                       `json:"image_save_failures"`
-	OrphansSwept            int                       `json:"orphans_swept"`
-	ScrubRepaired           int                       `json:"scrub_repaired"`
-	ScrubQuarantined        int                       `json:"scrub_quarantined"`
-	Exhausted               int                       `json:"exhausted"`
-	Aborted                 int                       `json:"aborted"`
-	MemoryReclaims          int                       `json:"memory_reclaims"`
-	KeepWarmEvictions       int                       `json:"keep_warm_evictions"`
-	TemplatesRetired        int                       `json:"templates_retired"`
-	InjectedFaults          map[string]map[string]int `json:"injected_faults,omitempty"`
-}
-
-func failureMetricsOf(st catalyzer.FailureStats) failureMetrics {
-	fm := failureMetrics{
-		BootFailures:            st.BootFailures,
-		Fallbacks:               st.Fallbacks,
-		Retries:                 st.Retries,
-		BackoffTotalMS:          float64(st.BackoffTotal) / 1e6,
-		BreakerTrips:            st.BreakerTrips,
-		BreakerSkips:            st.BreakerSkips,
-		Breakers:                st.Breakers,
-		TemplatesQuarantined:    st.TemplatesQuarantined,
-		TemplateRebuildFailures: st.TemplateRebuildFailures,
-		WatchdogKills:           st.WatchdogKills,
-		TemplatesPoisoned:       st.TemplatesPoisoned,
-		TemplateRegens:          st.TemplateRegens,
-		TemplateRegenFailures:   st.TemplateRegenFailures,
-		ImagesQuarantined:       st.ImagesQuarantined,
-		ImageLoadFaults:         st.ImageLoadFaults,
-		Rollbacks:               st.Rollbacks,
-		ImageRebuilds:           st.ImageRebuilds,
-		ImageRebuildFailures:    st.ImageRebuildFailures,
-		ImageSaveFailures:       st.ImageSaveFailures,
-		OrphansSwept:            st.OrphansSwept,
-		ScrubRepaired:           st.ScrubRepaired,
-		ScrubQuarantined:        st.ScrubQuarantined,
-		Exhausted:               st.Exhausted,
-		Aborted:                 st.Aborted,
-		MemoryReclaims:          st.MemoryReclaims,
-		KeepWarmEvictions:       st.KeepWarmEvictions,
-		TemplatesRetired:        st.TemplatesRetired,
+	w.WriteHeader(code)
+	if err := json.NewEncoder(w).Encode(body); err != nil {
+		log.Printf("encode: %v", err)
 	}
-	if len(st.Faults) > 0 {
-		fm.InjectedFaults = make(map[string]map[string]int, len(st.Faults))
-		for site, fc := range st.Faults {
-			fm.InjectedFaults[site] = map[string]int{"checks": fc.Checks, "injected": fc.Injected}
+}
+
+// durationType is the type of every virtual-time field in the stats
+// snapshots: simtime.Duration aliases time.Duration.
+var durationType = reflect.TypeOf(time.Duration(0))
+
+// render turns a stats snapshot into its /metrics form: a struct becomes
+// an object keyed by its fields' json tags (omitempty omits an empty
+// map), a Duration becomes float milliseconds, and a map of structs is
+// rendered value by value; anything else is encoded as it is. Rendering
+// the whole struct means a counter added to a stats type reaches
+// /metrics with no second declaration.
+func render(v any) any { return renderValue(reflect.ValueOf(v)) }
+
+func renderValue(v reflect.Value) any {
+	switch {
+	case v.Type() == durationType:
+		return float64(v.Int()) / 1e6
+	case v.Kind() == reflect.Struct:
+		t := v.Type()
+		out := make(map[string]any, t.NumField())
+		for i := 0; i < t.NumField(); i++ {
+			f, fv := t.Field(i), v.Field(i)
+			name, opt, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if !f.IsExported() || (opt == "omitempty" && fv.Kind() == reflect.Map && fv.Len() == 0) {
+				continue
+			}
+			out[name] = renderValue(fv)
 		}
+		return out
+	case v.Kind() == reflect.Map && v.Type().Elem().Kind() == reflect.Struct && !v.IsNil():
+		out := make(map[string]any, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			out[it.Key().String()] = renderValue(it.Value())
+		}
+		return out
 	}
-	return fm
-}
-
-// superviseMetrics is the JSON form of the runtime supervision counters.
-type superviseMetrics struct {
-	ProbesRun        int `json:"probes_run"`
-	TargetsProbed    int `json:"targets_probed"`
-	WedgedEvicted    int `json:"wedged_evicted"`
-	CrashLoopsParked int `json:"crash_loops_parked"`
-	CrashLoopRejects int `json:"crash_loop_rejects"`
-	ParkedFunctions  int `json:"parked_functions"`
-}
-
-func superviseMetricsOf(st catalyzer.SuperviseStats) superviseMetrics {
-	return superviseMetrics{
-		ProbesRun:        st.ProbesRun,
-		TargetsProbed:    st.TargetsProbed,
-		WedgedEvicted:    st.WedgedEvicted,
-		CrashLoopsParked: st.CrashLoopsParked,
-		CrashLoopRejects: st.CrashLoopRejects,
-		ParkedFunctions:  st.ParkedFunctions,
-	}
-}
-
-// overloadMetrics is the JSON form of the admission/overload counters.
-type overloadMetrics struct {
-	Admitted   int            `json:"admitted"`
-	Shed       int            `json:"shed"`
-	Expired    int            `json:"expired"`
-	Canceled   int            `json:"canceled"`
-	InFlight   int            `json:"in_flight"`
-	QueueDepth int            `json:"queue_depth"`
-	QueuePeak  int            `json:"queue_peak"`
-	PerFn      map[string]int `json:"in_flight_per_function"`
-	Draining   bool           `json:"draining"`
-}
-
-func overloadMetricsOf(st catalyzer.OverloadStats) overloadMetrics {
-	return overloadMetrics{
-		Admitted:   st.Admitted,
-		Shed:       st.Shed,
-		Expired:    st.Expired,
-		Canceled:   st.Canceled,
-		InFlight:   st.InFlight,
-		QueueDepth: st.QueueDepth,
-		QueuePeak:  st.QueuePeak,
-		PerFn:      st.PerFunction,
-		Draining:   st.Draining,
-	}
+	return v.Interface()
 }
 
 func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
-	type kindStats struct {
-		Count  int     `json:"count"`
-		MeanMS float64 `json:"mean_ms"`
-		P50MS  float64 `json:"p50_ms"`
-		P95MS  float64 `json:"p95_ms"`
-		P99MS  float64 `json:"p99_ms"`
-		MaxMS  float64 `json:"max_ms"`
-	}
-	boots := map[string]kindStats{}
-	for kind, st := range s.client.Stats() {
-		boots[string(kind)] = kindStats{
-			Count:  st.Count,
-			MeanMS: float64(st.MeanBoot) / 1e6,
-			P50MS:  float64(st.P50Boot) / 1e6,
-			P95MS:  float64(st.P95Boot) / 1e6,
-			P99MS:  float64(st.P99Boot) / 1e6,
-			MaxMS:  float64(st.MaxBoot) / 1e6,
-		}
-	}
 	body := map[string]any{
-		"boots":     boots,
-		"failures":  failureMetricsOf(s.client.FailureStats()),
-		"overload":  overloadMetricsOf(s.client.OverloadStats()),
-		"supervise": superviseMetricsOf(s.client.SuperviseStats()),
+		"boots":     render(s.client.Stats()),
+		"failures":  render(s.client.FailureStats()),
+		"overload":  render(s.client.OverloadStats()),
+		"supervise": render(s.client.SuperviseStats()),
 	}
 	if rep := s.client.RecoveryReport(); rep != nil {
 		body["recovery"] = map[string]any{
@@ -436,8 +351,7 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 			"failed":              rep.Failed,
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(body)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // health reports liveness, degradation, and drain: 200 while every
@@ -481,14 +395,11 @@ func (s *server) health(w http.ResponseWriter, _ *http.Request) {
 	if rep := s.client.RecoveryReport(); rep != nil {
 		body["recovered_functions"] = len(rep.Recovered)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	writeJSON(w, code, body)
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"live_instances":   s.client.Running(),
 		"virtual_clock_ms": float64(s.client.Now()) / 1e6,
 	})
@@ -503,7 +414,7 @@ func Handler(c *catalyzer.Client) http.Handler {
 	mux.HandleFunc("POST /deploy-custom", s.deployCustom)
 	mux.HandleFunc("POST /train", s.train)
 	mux.HandleFunc("POST /invoke", s.invoke)
-	mux.HandleFunc("GET /functions", s.functions)
+	mux.HandleFunc("GET /functions", functions)
 	mux.HandleFunc("GET /stats", s.stats)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /health", s.health)
@@ -517,9 +428,17 @@ func Handler(c *catalyzer.Client) http.Handler {
 // backs the fleet when it backs nothing. The admission flags are
 // rejected in fleet mode for the same reason: fleet machines do not run
 // the single-machine admission controller, so the caps would be ignored.
-func validateFlags(zygotePool, fleetMachines, fleetZones int, storeDir, fleetStoreDir string, adm catalyzer.AdmissionConfig) error {
+// A negative -memory-budget or -grace is rejected rather than read as
+// unlimited or as an already-expired drain deadline.
+func validateFlags(zygotePool, fleetMachines, fleetZones int, storeDir, fleetStoreDir string, adm catalyzer.AdmissionConfig, memoryBudget int, grace time.Duration) error {
 	if zygotePool < 0 {
 		return fmt.Errorf("-zygote-pool must be >= 0, got %d", zygotePool)
+	}
+	if memoryBudget < 0 {
+		return fmt.Errorf("-memory-budget must be >= 0 pages, got %d", memoryBudget)
+	}
+	if grace < 0 {
+		return fmt.Errorf("-grace must be >= 0, got %v", grace)
 	}
 	if fleetMachines > 0 {
 		for _, f := range []struct {
@@ -582,7 +501,7 @@ func main() {
 		MaxPerFunction: *maxPerFunction,
 		QueueDepth:     *queueDepth,
 	}
-	if err := validateFlags(*zygotePool, *fleetMachines, *fleetZones, *storeDir, *fleetStoreDir, adm); err != nil {
+	if err := validateFlags(*zygotePool, *fleetMachines, *fleetZones, *storeDir, *fleetStoreDir, adm, *memoryBudget, *grace); err != nil {
 		log.Fatal(err)
 	}
 

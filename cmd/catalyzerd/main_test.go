@@ -289,8 +289,10 @@ func TestDeployCustomAndTrain(t *testing.T) {
 	if r := post(t, srv, "/train"); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("train without fn = %d", r.StatusCode)
 	}
-	if r := post(t, srv, "/train?fn=deathstar-text&fraction=nope"); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("train bad fraction = %d", r.StatusCode)
+	for _, frac := range []string{"nope", "NaN", "0.5abc", "1"} {
+		if r := post(t, srv, "/train?fn=deathstar-text&fraction="+frac); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("train fraction=%s = %d, want 400", frac, r.StatusCode)
+		}
 	}
 	badDoc, err := http.Post(srv.URL+"/deploy-custom", "application/json", strings.NewReader("junk"))
 	if err != nil {
@@ -395,8 +397,8 @@ func TestRestartRecovery(t *testing.T) {
 }
 
 // TestMetricsSuperviseSection: /metrics carries the full supervision
-// counter set (the superviseMetricsOf projection is additionally checked
-// for completeness by the metricsreg analyzer).
+// counter set under its documented keys (TestMetricsCarriesEveryField
+// checks every field of every stats type).
 func TestMetricsSuperviseSection(t *testing.T) {
 	srv := newTestServer(t)
 	post(t, srv, "/deploy?fn=c-hello")

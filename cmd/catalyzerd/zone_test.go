@@ -131,7 +131,7 @@ func TestFleetZoneDegradedOverHTTP(t *testing.T) {
 	}
 	defer xresp.Body.Close()
 	var body struct {
-		Fleet fleetMetrics `json:"fleet"`
+		Fleet fleetSection `json:"fleet"`
 	}
 	if err := json.NewDecoder(xresp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

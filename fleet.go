@@ -403,194 +403,14 @@ func (f *Fleet) StatsKinds() []BootKind { return f.stats.kinds() }
 
 // FleetStats is the fleet control plane's accounting: membership
 // gauges, fault/failover counters, remote-fork and re-replication
-// counters, and per-machine served/live vectors. Everything here
-// reaches the daemon's /metrics (enforced by the metricsreg analyzer).
-type FleetStats struct {
-	// Machines / Up / Down / Deployed are gauges: fleet size, current
-	// membership split, deployed function count.
-	Machines int
-	Up       int
-	Down     int
-	Deployed int
-	// Crashes counts down-transitions with state lost (machine-crash
-	// faults and explicit kills); Partitions counts down-transitions
-	// with state intact (consecutive partition misses).
-	Crashes    int
-	Partitions int
-	// UnreachableDispatches counts dispatches failed on a partition
-	// draw; SlowDispatches counts machine-slow draws served with a
-	// latency penalty.
-	UnreachableDispatches int
-	SlowDispatches        int
-	// Rejoins counts re-admissions (healed partitions, restarts);
-	// MembershipProbes counts membership probe rounds.
-	Rejoins          int
-	MembershipProbes int
-	// Failovers counts machine-level dispatch failures that re-placed an
-	// invocation; Replays counts invocations completed after ≥ 1
-	// failover.
-	Failovers int
-	Replays   int
-	// ImagePulls / TemplateForks / LocalBuilds break down how boots on
-	// machines missing the func-image were served: pulled from a replica
-	// peer, forked from a peer's live template, or degraded to a local
-	// cold build.
-	ImagePulls    int
-	TemplateForks int
-	LocalBuilds   int
-	// Rereplications counts replica placements restored after a member
-	// went down; RepairFailures counts failed restores; ReplicasLost
-	// counts functions that lost every replica (k ≥ R machines down).
-	Rereplications int
-	RepairFailures int
-	ReplicasLost   int
-	// Spills counts bounded-load placements diverted off the preferred
-	// ring machine.
-	Spills int
-	// GrayDispatches counts machine-gray-slow draws served with a large
-	// latency penalty; FlakyDispatches counts machine-flaky draws that
-	// failed the dispatch.
-	GrayDispatches  int
-	FlakyDispatches int
-	// Hedges counts hedged second attempts raced against slow primaries;
-	// HedgeWins counts hedges that finished first;
-	// HedgeLosersLingered counts discarded attempts that kept burning
-	// their machine (hedge-loser-lingers site).
-	Hedges              int
-	HedgeWins           int
-	HedgeLosersLingered int
-	// Retries counts replayed attempts charged to the retry/hedge
-	// budget; BudgetSpent the tokens consumed (retries + hedges);
-	// BudgetDenials the retries/hedges refused on a dry bucket.
-	Retries       int
-	BudgetSpent   int
-	BudgetDenials int
-	// Ejections counts soft-ejections of gray outliers;
-	// EjectionsDeferred outlier verdicts deferred by MaxEjectFraction;
-	// Readmissions recoveries back into the ring; EjectionProbes
-	// individual recovery probes sent to ejected members.
-	Ejections         int
-	EjectionsDeferred int
-	Readmissions      int
-	EjectionProbes    int
-	// BrownoutServes counts invocations served by a soft-ejected member
-	// because every healthy machine was exhausted.
-	BrownoutServes int
-	// EjectedMachines is the current soft-ejected gauge.
-	EjectedMachines int
-	// Zones is the configured failure-domain count; ZonesDown the gauge
-	// of zones currently downed or split by an installed scenario.
-	Zones     int
-	ZonesDown int
-	// ZoneSpreadViolations counts replica placements forced to double
-	// up inside a covered zone while a configured zone sat uncovered.
-	ZoneSpreadViolations int
-	// ZoneDownDispatches counts dispatches refused by a zone-down draw;
-	// SplitDispatches counts dispatches lost to a partition split.
-	ZoneDownDispatches int
-	SplitDispatches    int
-	// RollingCrashes counts machines crashed by rolling-crash sweeps;
-	// ScenarioSteps counts timeline steps applied.
-	RollingCrashes int
-	ScenarioSteps  int
-	// ZoneDegradedErrors counts invocations failed with the retryable
-	// ErrZoneDegraded while the fleet was healing.
-	ZoneDegradedErrors int
-	// RepairsDeferred counts re-replications held past a pump round by
-	// the repair budget; RepairPeakInFlight is the largest concurrent
-	// repair batch observed; RepairQueueDepth the current queue gauge.
-	RepairsDeferred    int
-	RepairPeakInFlight int
-	RepairQueueDepth   int
-	// StoresRecovered counts per-machine stores that brought back ≥ 1
-	// function at fleet restart; TornStores counts stores discarded
-	// wholesale (torn by the restart-torn-store site or unreadable).
-	StoresRecovered int
-	TornStores      int
-	// FunctionsRecovered counts functions restored to service by restart
-	// reconciliation; StaleRepulls counts lower-generation replica copies
-	// re-pulled from the winner; DivergentQuarantined counts
-	// same-generation byte-divergent copies quarantined and re-pulled;
-	// RecoverFailures counts replica restorations that failed (left for
-	// the top-up pass).
-	FunctionsRecovered   int
-	StaleRepulls         int
-	DivergentQuarantined int
-	RecoverFailures      int
-	// InvokeP50 / InvokeP99 / InvokeMax summarize the effective
-	// virtual-time invoke latency distribution (hedge winners count at
-	// their winning latency).
-	InvokeP50 Duration
-	InvokeP99 Duration
-	InvokeMax Duration
-	// Served / Live are per-machine vectors: completed invocations and
-	// the live-instance gauge.
-	Served []int
-	Live   []int
-}
+// counters, gray-failure and zone counters, restart-recovery counters,
+// the effective invoke latency percentiles, and per-machine served/live
+// vectors. See the field comments of the aliased type.
+type FleetStats = fleet.Stats
 
 // FleetStats returns a snapshot of the fleet control plane's
 // accounting.
-func (f *Fleet) FleetStats() FleetStats {
-	st := f.fl.Stats()
-	return FleetStats{
-		Machines:              st.Machines,
-		Up:                    st.Up,
-		Down:                  st.Down,
-		Deployed:              st.Deployed,
-		Crashes:               st.Crashes,
-		Partitions:            st.Partitions,
-		UnreachableDispatches: st.UnreachableDispatches,
-		SlowDispatches:        st.SlowDispatches,
-		Rejoins:               st.Rejoins,
-		MembershipProbes:      st.MembershipProbes,
-		Failovers:             st.Failovers,
-		Replays:               st.Replays,
-		ImagePulls:            st.ImagePulls,
-		TemplateForks:         st.TemplateForks,
-		LocalBuilds:           st.LocalBuilds,
-		Rereplications:        st.Rereplications,
-		RepairFailures:        st.RepairFailures,
-		ReplicasLost:          st.ReplicasLost,
-		Spills:                st.Spills,
-		GrayDispatches:        st.GrayDispatches,
-		FlakyDispatches:       st.FlakyDispatches,
-		Hedges:                st.Hedges,
-		HedgeWins:             st.HedgeWins,
-		HedgeLosersLingered:   st.HedgeLosersLingered,
-		Retries:               st.Retries,
-		BudgetSpent:           st.BudgetSpent,
-		BudgetDenials:         st.BudgetDenials,
-		Ejections:             st.Ejections,
-		EjectionsDeferred:     st.EjectionsDeferred,
-		Readmissions:          st.Readmissions,
-		EjectionProbes:        st.EjectionProbes,
-		BrownoutServes:        st.BrownoutServes,
-		EjectedMachines:       st.EjectedMachines,
-		Zones:                 st.Zones,
-		ZonesDown:             st.ZonesDown,
-		ZoneSpreadViolations:  st.ZoneSpreadViolations,
-		ZoneDownDispatches:    st.ZoneDownDispatches,
-		SplitDispatches:       st.SplitDispatches,
-		RollingCrashes:        st.RollingCrashes,
-		ScenarioSteps:         st.ScenarioSteps,
-		ZoneDegradedErrors:    st.ZoneDegradedErrors,
-		RepairsDeferred:       st.RepairsDeferred,
-		RepairPeakInFlight:    st.RepairPeakInFlight,
-		RepairQueueDepth:      st.RepairQueueDepth,
-		StoresRecovered:       st.StoresRecovered,
-		TornStores:            st.TornStores,
-		FunctionsRecovered:    st.FunctionsRecovered,
-		StaleRepulls:          st.StaleRepulls,
-		DivergentQuarantined:  st.DivergentQuarantined,
-		RecoverFailures:       st.RecoverFailures,
-		InvokeP50:             st.InvokeP50,
-		InvokeP99:             st.InvokeP99,
-		InvokeMax:             st.InvokeMax,
-		Served:                st.Served,
-		Live:                  st.Live,
-	}
-}
+func (f *Fleet) FleetStats() FleetStats { return f.fl.Stats() }
 
 // Close shuts the fleet down: membership probes stop, then every member
 // machine closes (templates retired, mappings closed, supervision

@@ -330,117 +330,116 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats is the fleet's accounting. Everything here must reach the
-// daemon's /metrics (enforced by the metricsreg analyzer on the
-// projection in cmd/catalyzerd).
+// Stats is the fleet's accounting. The daemon's /metrics encodes the
+// whole struct under its json tags, a Duration as float milliseconds.
 type Stats struct {
 	// Machines / Up / Down / Deployed are gauges: fleet size, current
 	// membership split, and deployed function count.
-	Machines int
-	Up       int
-	Down     int
-	Deployed int
+	Machines int `json:"machines"`
+	Up       int `json:"up"`
+	Down     int `json:"down"`
+	Deployed int `json:"deployed"`
 	// Crashes counts down-transitions caused by machine-crash faults or
 	// explicit kills (state lost); Partitions counts down-transitions
 	// from consecutive partition misses (state intact).
-	Crashes    int
-	Partitions int
+	Crashes    int `json:"crashes"`
+	Partitions int `json:"partitions"`
 	// UnreachableDispatches counts dispatches that failed on a
 	// partition draw; SlowDispatches counts machine-slow draws served
 	// with a latency penalty.
-	UnreachableDispatches int
-	SlowDispatches        int
+	UnreachableDispatches int `json:"unreachable_dispatches"`
+	SlowDispatches        int `json:"slow_dispatches"`
 	// Rejoins counts re-admissions: healed partitions and restarted
 	// crashed members.
-	Rejoins int
+	Rejoins int `json:"rejoins"`
 	// MembershipProbes counts membership probe-group executions.
-	MembershipProbes int
+	MembershipProbes int `json:"membership_probes"`
 	// Failovers counts machine-level dispatch failures that re-placed an
 	// invocation; Replays counts invocations that completed after at
 	// least one failover.
-	Failovers int
-	Replays   int
+	Failovers int `json:"failovers"`
+	Replays   int `json:"replays"`
 	// ImagePulls counts remote forks served by pulling a func-image from
 	// a replica peer; TemplateForks counts the cheaper remote forks from
 	// a peer's live template; LocalBuilds counts the degraded local cold
 	// builds when no peer had the artifacts.
-	ImagePulls    int
-	TemplateForks int
-	LocalBuilds   int
+	ImagePulls    int `json:"image_pulls"`
+	TemplateForks int `json:"template_forks"`
+	LocalBuilds   int `json:"local_builds"`
 	// Rereplications counts replica placements restored after a member
 	// went down; RepairFailures counts restore attempts that failed;
 	// ReplicasLost counts functions that at some repair had no surviving
 	// replica (k ≥ R machines lost).
-	Rereplications int
-	RepairFailures int
-	ReplicasLost   int
+	Rereplications int `json:"rereplications"`
+	RepairFailures int `json:"repair_failures"`
+	ReplicasLost   int `json:"replicas_lost"`
 	// Spills counts bounded-load placements diverted off the preferred
 	// ring machine.
-	Spills int
+	Spills int `json:"spills"`
 	// GrayDispatches counts machine-gray-slow draws that fired (served
 	// with a large latency penalty); FlakyDispatches counts machine-flaky
 	// draws that dropped a request.
-	GrayDispatches  int
-	FlakyDispatches int
+	GrayDispatches  int `json:"gray_dispatches"`
+	FlakyDispatches int `json:"flaky_dispatches"`
 	// Hedges counts hedged invocations raced; HedgeWins counts hedges
 	// whose second attempt finished first; HedgeLosersLingered counts
 	// hedge losers that kept burning cycles (hedge-loser-lingers site).
-	Hedges              int
-	HedgeWins           int
-	HedgeLosersLingered int
+	Hedges              int `json:"hedges"`
+	HedgeWins           int `json:"hedge_wins"`
+	HedgeLosersLingered int `json:"hedge_losers_lingered"`
 	// Retries counts replayed attempts that spent a budget token;
 	// BudgetSpent counts all tokens spent (retries + hedges);
 	// BudgetDenials counts retries/hedges refused on a dry bucket.
-	Retries       int
-	BudgetSpent   int
-	BudgetDenials int
+	Retries       int `json:"retries"`
+	BudgetSpent   int `json:"budget_spent"`
+	BudgetDenials int `json:"budget_denials"`
 	// Ejections counts soft-ejections of outlier machines;
 	// EjectionsDeferred counts outlier verdicts suppressed by the
 	// max-ejection fraction; Readmissions counts ejected members probed
 	// back into the ring; EjectionProbes counts individual recovery
 	// probes of ejected members.
-	Ejections         int
-	EjectionsDeferred int
-	Readmissions      int
-	EjectionProbes    int
+	Ejections         int `json:"ejections"`
+	EjectionsDeferred int `json:"ejections_deferred"`
+	Readmissions      int `json:"readmissions"`
+	EjectionProbes    int `json:"ejection_probes"`
 	// BrownoutServes counts invocations served by an ejected machine
 	// because no healthy one remained; EjectedMachines is the current
 	// soft-ejected gauge.
-	BrownoutServes  int
-	EjectedMachines int
+	BrownoutServes  int `json:"brownout_serves"`
+	EjectedMachines int `json:"ejected_machines"`
 	// Zones is the configured failure-domain count; ZonesDown is the
 	// gauge of zones currently downed or split by a scenario.
-	Zones     int
-	ZonesDown int
+	Zones     int `json:"zones"`
+	ZonesDown int `json:"zones_down"`
 	// ZoneSpreadViolations counts replica placements forced to double
 	// up inside a covered zone while a configured zone sat uncovered
 	// (survivor pressure, not R > Zones structure).
-	ZoneSpreadViolations int
+	ZoneSpreadViolations int `json:"zone_spread_violations"`
 	// ZoneDownDispatches counts dispatches refused by a zone-down draw;
 	// SplitDispatches counts dispatches lost to a partition-split draw.
-	ZoneDownDispatches int
-	SplitDispatches    int
+	ZoneDownDispatches int `json:"zone_down_dispatches"`
+	SplitDispatches    int `json:"split_dispatches"`
 	// RollingCrashes counts machines crashed by rolling-crash sweep
 	// steps; ScenarioSteps counts timeline steps applied.
-	RollingCrashes int
-	ScenarioSteps  int
+	RollingCrashes int `json:"rolling_crashes"`
+	ScenarioSteps  int `json:"scenario_steps"`
 	// ZoneDegradedErrors counts invocations that failed with the
 	// retryable ErrZoneDegraded while the fleet was healing.
-	ZoneDegradedErrors int
+	ZoneDegradedErrors int `json:"zone_degraded_errors"`
 	// RepairsDeferred counts re-replications held past a pump round by
 	// the repair budget (or pushed back by the repair-deferred site);
 	// RepairPeakInFlight is the largest concurrent repair batch
 	// observed; RepairQueueDepth is the current queue gauge.
-	RepairsDeferred    int
-	RepairPeakInFlight int
-	RepairQueueDepth   int
+	RepairsDeferred    int `json:"repairs_deferred"`
+	RepairPeakInFlight int `json:"repair_peak_in_flight"`
+	RepairQueueDepth   int `json:"repair_queue_depth"`
 	// Fleet cold-restart recovery accounting (Recover). StoresRecovered
 	// counts machine stores that reopened at restart with stored
 	// functions intact; TornStores counts stores treated as torn at
 	// restart (the restart-torn-store site or an unreadable manifest):
 	// their contents are ignored and every replica they held re-pulls.
-	StoresRecovered int
-	TornStores      int
+	StoresRecovered int `json:"stores_recovered"`
+	TornStores      int `json:"torn_stores"`
 	// FunctionsRecovered counts functions restored to service by the
 	// reconciliation pass; StaleRepulls counts replica copies re-pulled
 	// up to the winning generation; DivergentQuarantined counts
@@ -448,20 +447,20 @@ type Stats struct {
 	// quarantined as evidence and repaired; RecoverFailures counts
 	// replica restorations that failed (left for the post-recovery
 	// top-up).
-	FunctionsRecovered   int
-	StaleRepulls         int
-	DivergentQuarantined int
-	RecoverFailures      int
+	FunctionsRecovered   int `json:"functions_recovered"`
+	StaleRepulls         int `json:"stale_repulls"`
+	DivergentQuarantined int `json:"divergent_quarantined"`
+	RecoverFailures      int `json:"recover_failures"`
 	// InvokeP50/InvokeP99/InvokeMax digest the effective per-invocation
 	// latency (hedge-adjusted: a winning hedge caps the invocation at
 	// delay + hedge latency) across everything served.
-	InvokeP50 simtime.Duration
-	InvokeP99 simtime.Duration
-	InvokeMax simtime.Duration
+	InvokeP50 simtime.Duration `json:"invoke_p50_ms"`
+	InvokeP99 simtime.Duration `json:"invoke_p99_ms"`
+	InvokeMax simtime.Duration `json:"invoke_max_ms"`
 	// Served is the per-machine count of completed invocations; Live the
 	// per-machine live-instance gauge.
-	Served []int
-	Live   []int
+	Served []int `json:"served_per_machine"`
+	Live   []int `json:"live_per_machine"`
 }
 
 // member is one machine's membership record.

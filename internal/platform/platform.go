@@ -311,14 +311,6 @@ func (p *Platform) DisarmFaults() {
 	inj.DisarmAll()
 }
 
-// FaultCounts reports per-site injection totals.
-func (p *Platform) FaultCounts() map[faults.Site]faults.SiteCount {
-	p.mu.Lock()
-	inj := p.M.Faults
-	p.mu.Unlock()
-	return inj.Counts()
-}
-
 // newRootFS builds a function's root filesystem: the wrapper binary, the
 // runtime, and a log file eligible for read-write grants.
 func newRootFS(spec *workload.Spec) *vfs.FSServer {

@@ -46,69 +46,77 @@ func DefaultRecoveryConfig() RecoveryConfig {
 }
 
 // FailureStats is the recovery section of the platform's accounting:
-// everything the failure machinery did on behalf of traffic.
+// everything the failure machinery did on behalf of traffic, with the
+// circuit breakers' states and the injected-fault totals. The daemon's
+// /metrics encodes the whole struct under its json tags, a Duration as
+// float milliseconds.
 type FailureStats struct {
 	// BootFailures counts raw stage failures, by stage.
-	BootFailures map[System]int
+	BootFailures map[System]int `json:"boot_failures"`
 	// Fallbacks counts boots served by a stage other than the one
 	// requested, keyed by the stage that served.
-	Fallbacks map[System]int
+	Fallbacks map[System]int `json:"fallbacks"`
 	// Retries counts same-stage retry attempts.
-	Retries int
+	Retries int `json:"retries"`
 	// BackoffTotal is the virtual time spent backing off before retries.
-	BackoffTotal simtime.Duration
+	BackoffTotal simtime.Duration `json:"backoff_total_ms"`
 	// BreakerTrips counts breaker open transitions; BreakerSkips counts
 	// chain stages skipped because their breaker was open.
-	BreakerTrips int
-	BreakerSkips int
+	BreakerTrips int `json:"breaker_trips"`
+	BreakerSkips int `json:"breaker_skips"`
 	// TemplatesQuarantined counts template quarantine-and-rebuild
 	// events; TemplateRebuildFailures counts rebuilds that themselves
 	// failed (leaving the function without a template).
-	TemplatesQuarantined    int
-	TemplateRebuildFailures int
+	TemplatesQuarantined    int `json:"templates_quarantined"`
+	TemplateRebuildFailures int `json:"template_rebuild_failures"`
 	// WatchdogKills counts hung invocations the supervisor's watchdog
 	// killed and reaped.
-	WatchdogKills int
+	WatchdogKills int `json:"watchdog_kills"`
 	// TemplatesPoisoned counts poisoning verdicts: templates convicted by
 	// correlated failures of their sforked children (each also counts in
 	// TemplatesQuarantined). TemplateRegens / TemplateRegenFailures count
 	// the asynchronous template rebuilds the supervisor runs after a
 	// poisoning verdict or a wedged-template eviction.
-	TemplatesPoisoned     int
-	TemplateRegens        int
-	TemplateRegenFailures int
+	TemplatesPoisoned     int `json:"templates_poisoned"`
+	TemplateRegens        int `json:"template_regens"`
+	TemplateRegenFailures int `json:"template_regen_failures"`
 	// ImagesQuarantined counts corrupt stored func-images moved aside;
 	// ImageLoadFaults counts store fetches that failed without evidence
 	// of corruption (rebuilt, not quarantined).
-	ImagesQuarantined int
-	ImageLoadFaults   int
+	ImagesQuarantined int `json:"images_quarantined"`
+	ImageLoadFaults   int `json:"image_load_faults"`
 	// Rollbacks counts corrupt active generations served from the
 	// last-known-good generation instead (rebuild off the critical
 	// path). ImageRebuilds / ImageRebuildFailures count those
 	// off-critical-path rebuilds; ImageSaveFailures counts store
 	// persists that failed (the in-memory image kept serving).
-	Rollbacks            int
-	ImageRebuilds        int
-	ImageRebuildFailures int
-	ImageSaveFailures    int
+	Rollbacks            int `json:"rollbacks"`
+	ImageRebuilds        int `json:"image_rebuilds"`
+	ImageRebuildFailures int `json:"image_rebuild_failures"`
+	ImageSaveFailures    int `json:"image_save_failures"`
 	// Durability counters merged from the image store's startup scrub:
 	// temp/stale files swept, divergences healed without data loss, and
 	// artifacts quarantined as corrupt. Zero without a store.
-	OrphansSwept     int
-	ScrubRepaired    int
-	ScrubQuarantined int
+	OrphansSwept     int `json:"orphans_swept"`
+	ScrubRepaired    int `json:"scrub_repaired"`
+	ScrubQuarantined int `json:"scrub_quarantined"`
 	// Exhausted counts invocations whose whole fallback chain failed.
-	Exhausted int
+	Exhausted int `json:"exhausted"`
 	// Aborted counts invocations whose fallback chain was cut short by
 	// the caller's context (deadline or cancellation) mid-chain.
-	Aborted int
+	Aborted int `json:"aborted"`
 	// MemoryReclaims counts boots that relieved memory pressure by
 	// reclaiming instead of failing; KeepWarmEvictions and
 	// TemplatesRetired break down what was freed (keep-warm instances
 	// evicted, idle templates retired LRU-first).
-	MemoryReclaims    int
-	KeepWarmEvictions int
-	TemplatesRetired  int
+	MemoryReclaims    int `json:"memory_reclaims"`
+	KeepWarmEvictions int `json:"keep_warm_evictions"`
+	TemplatesRetired  int `json:"templates_retired"`
+	// Breakers reports every instantiated circuit breaker's state
+	// ("closed", "open", "half-open"), keyed "function/system".
+	Breakers map[string]string `json:"breakers"`
+	// Faults reports per-site injection totals of every site drawn.
+	Faults map[faults.Site]faults.SiteCount `json:"injected_faults,omitempty"`
 }
 
 func newFailureStats() FailureStats {
@@ -206,28 +214,25 @@ func (p *Platform) RecoveryConfig() RecoveryConfig {
 }
 
 // FailureStats returns a copy of the recovery accounting, with the
-// image store's durability counters folded in.
+// image store's durability counters, the breaker states and the fault
+// totals folded in.
 func (p *Platform) FailureStats() FailureStats {
 	p.rec.mu.Lock()
 	out := p.rec.stats.clone()
+	out.Breakers = make(map[string]string, len(p.rec.breakers))
+	for k, b := range p.rec.breakers {
+		out.Breakers[k.fn+"/"+string(k.sys)] = b.State().String()
+	}
 	p.rec.mu.Unlock()
+	p.mu.Lock()
+	inj := p.M.Faults
+	p.mu.Unlock()
+	out.Faults = inj.Counts()
 	if p.store != nil {
 		st := p.store.Stats()
 		out.OrphansSwept = st.OrphansSwept
 		out.ScrubRepaired = st.ScrubRepaired
 		out.ScrubQuarantined = st.ScrubQuarantined
-	}
-	return out
-}
-
-// BreakerStates reports every instantiated breaker's state, keyed
-// "function/system".
-func (p *Platform) BreakerStates() map[string]string {
-	p.rec.mu.Lock()
-	defer p.rec.mu.Unlock()
-	out := make(map[string]string, len(p.rec.breakers))
-	for k, b := range p.rec.breakers {
-		out[k.fn+"/"+string(k.sys)] = b.State().String()
 	}
 	return out
 }

@@ -126,7 +126,7 @@ func TestBreakerOpensAndSkipsStage(t *testing.T) {
 		}
 		r.Sandbox.Release()
 	}
-	states := p.BreakerStates()
+	states := p.FailureStats().Breakers
 	if states["c-hello/"+string(CatalyzerSfork)] != "open" {
 		t.Fatalf("sfork breaker not open: %v", states)
 	}
@@ -162,7 +162,7 @@ func TestBreakerOpensAndSkipsStage(t *testing.T) {
 	if r.System != CatalyzerSfork {
 		t.Fatalf("probe served by %s, want sfork", r.System)
 	}
-	if got := p.BreakerStates()["c-hello/"+string(CatalyzerSfork)]; got != "closed" {
+	if got := p.FailureStats().Breakers["c-hello/"+string(CatalyzerSfork)]; got != "closed" {
 		t.Fatalf("breaker after successful probe = %s", got)
 	}
 }
@@ -292,7 +292,7 @@ func TestPreconditionSkipsStageWithoutBreakerCharge(t *testing.T) {
 	if st.BootFailures[CatalyzerSfork] != 0 {
 		t.Fatalf("precondition miss charged the sfork stage: %+v", st)
 	}
-	if got := p.BreakerStates()["c-hello/"+string(CatalyzerSfork)]; got != "closed" {
+	if got := p.FailureStats().Breakers["c-hello/"+string(CatalyzerSfork)]; got != "closed" {
 		t.Fatalf("sfork breaker after precondition miss = %q", got)
 	}
 }

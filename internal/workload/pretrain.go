@@ -15,7 +15,8 @@ import "fmt"
 // its execution work captured at initialization time. The derived spec is
 // registered under "<name>@pretrained" by PrepareTrained-style callers.
 func PreInitVariant(s *Spec, fraction float64) (*Spec, error) {
-	if fraction <= 0 || fraction >= 1 {
+	// Written so that NaN, which fails every comparison, is rejected too.
+	if !(fraction > 0 && fraction < 1) {
 		return nil, fmt.Errorf("workload: pre-init fraction %.2f outside (0,1)", fraction)
 	}
 	v := *s

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -172,5 +173,24 @@ func TestLateEntryVariantsShiftWork(t *testing.T) {
 	ratio := float64(early.ExecCost(p)) / float64(late.ExecCost(p))
 	if ratio < 2 || ratio > 5 {
 		t.Fatalf("exec reduction = %.1fx, want ~3x", ratio)
+	}
+}
+
+// TestPreInitVariantRejectsFractionsOutsideOpenUnit: the trained fraction
+// must lie strictly inside (0,1); NaN fails every comparison and is
+// rejected with the rest.
+func TestPreInitVariantRejectsFractionsOutsideOpenUnit(t *testing.T) {
+	s, err := Registry("c-hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{0, 1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := PreInitVariant(s, f); err == nil {
+			t.Errorf("PreInitVariant(c-hello, %v) succeeded, want an error", f)
+		}
+	}
+	v, err := PreInitVariant(s, 0.5)
+	if err != nil || v.Name != "c-hello@pretrained" {
+		t.Fatalf("PreInitVariant(c-hello, 0.5) = %v, %v", v, err)
 	}
 }

@@ -8,14 +8,15 @@ import (
 )
 
 // KindStats summarizes the invocations a client has served with one boot
-// kind.
+// kind. The json tags are the daemon's /metrics keys; a Duration is
+// written there as float milliseconds.
 type KindStats struct {
-	Count    int
-	MeanBoot Duration
-	P50Boot  Duration
-	P95Boot  Duration
-	P99Boot  Duration
-	MaxBoot  Duration
+	Count    int      `json:"count"`
+	MeanBoot Duration `json:"mean_ms"`
+	P50Boot  Duration `json:"p50_ms"`
+	P95Boot  Duration `json:"p95_ms"`
+	P99Boot  Duration `json:"p99_ms"`
+	MaxBoot  Duration `json:"max_ms"`
 }
 
 // statsCollector accumulates per-kind boot metrics inside a Client. It
